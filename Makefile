@@ -7,7 +7,7 @@ PY := PYTHONPATH=src python -m
 
 .PHONY: check lint test property obs serve test-serve chaos chaos-crash \
 	bench bench-obs bench-serve bench-check bench-scale-smoke soak-smoke \
-	drift reference-update
+	perfbench-smoke drift reference-update
 
 check: lint
 	$(PY) pytest -q -m "not chaos and not chaos_crash"
@@ -66,6 +66,13 @@ bench-scale-smoke:
 # never the committed full-length BENCH_soak.json baseline.
 soak-smoke:
 	cd benchmarks && REPRO_SOAK_SMOKE=1 PYTHONPATH=../src python -m pytest -q test_soak.py
+
+# Repository benchmark smoke: every perfbench workload at smoke size,
+# traced and untraced, plus its check and contract tests.  The traced
+# runs wrap src/ entry points (IVFIndex.train/add/search,
+# CandidateSet.vstack, ...), so renaming one fails here.
+perfbench-smoke:
+	python3 -m pytest -q perfbench/tests
 
 # Re-run the timed benchmarks and fail on >25% regression against the
 # committed BENCH_*.json baselines (see benchmarks/check_regression.py).

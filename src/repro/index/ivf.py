@@ -12,7 +12,15 @@ property the recall test suite pins.
 
 Work per query is O(n_clusters d + scanned d); with balanced lists and
 ``nprobe`` fixed, the scanned set is ``~ nprobe / n_clusters`` of the
-targets — the knob that trades recall for speed.
+targets — the knob that trades recall for speed.  Training is the
+chunked k-means of :mod:`repro.utils.kmeans` (O(n d k) flops, no
+``n x k`` matrix); :meth:`IVFIndex.add` assigns in the same bounded
+chunks.  A default (non-stable) search of ``q`` queries holds one
+prepared copy of the probed lists' live vectors, the ``q x n_clusters``
+centroid distances, one score block per (list, querying rows) pair at
+a time, and at most ``~1.5 q k`` pairs that survive threshold pruning
+(plus one block's survivors) — never the ``q x scanned`` pairs it
+scores.
 
 The index is observable (``index.*`` spans and counters: queries,
 scanned candidates, per-row shortfalls) and persistable to a
@@ -46,6 +54,39 @@ def _document_checksum(document: dict) -> str:
     """Digest of the index document's content (every key but ``checksum``)."""
     body = {key: value for key, value in document.items() if key != "checksum"}
     return payload_checksum(json.dumps(body, sort_keys=True).encode("utf-8"))
+
+
+def _inverted_lists(assignments: np.ndarray, n_clusters: int) -> list[np.ndarray]:
+    """Positions per cluster, ascending, from one stable grouping sort."""
+    order = np.argsort(assignments, kind="stable")
+    counts = np.bincount(assignments, minlength=n_clusters)
+    return np.split(order, np.cumsum(counts)[:-1])[:n_clusters]
+
+
+def _top_k_per_row(
+    rows: np.ndarray, positions: np.ndarray, scores: np.ndarray, n_rows: int, k: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row's best ``k`` entries under ``(-score, position asc)``, as CSR.
+
+    One sort ranks every score; a second sorts the unique integer key
+    ``(row, score rank)``, laying every row out best-first.  Only rows
+    holding equal scores need the position tie-break, and only those
+    rows are re-sorted on all three keys.
+    """
+    rank = np.empty(len(scores), dtype=np.int64)
+    rank[np.argsort(-scores)] = np.arange(len(scores))
+    order = np.argsort(rows * len(scores) + rank)
+    rows, positions, scores = rows[order], positions[order], scores[order]
+    tied = (rows[1:] == rows[:-1]) & (scores[1:] == scores[:-1])
+    if tied.any():
+        fix = np.flatnonzero(np.isin(rows, rows[1:][tied]))
+        resort = fix[np.lexsort((positions[fix], -scores[fix], rows[fix]))]
+        positions[fix], scores[fix] = positions[resort], scores[resort]
+    counts = np.bincount(rows, minlength=n_rows)
+    place_in_row = np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows]
+    keep = place_in_row < k
+    indptr = np.concatenate([[0], np.cumsum(np.minimum(counts, k))])
+    return indptr, positions[keep], scores[keep]
 
 
 class IVFIndex:
@@ -118,7 +159,7 @@ class IVFIndex:
         return self._vectors[np.asarray(positions, dtype=np.int64)]
 
     def train(self, vectors: np.ndarray) -> "IVFIndex":
-        """Fit the coarse quantizer on ``vectors`` (O(n d k), no n^2).
+        """Fit the coarse quantizer on ``vectors`` (O(n d k), no n^2 or n k).
 
         With an event sink installed, every assignment round emits
         ``index.train.round`` (round number, points that changed
@@ -171,9 +212,7 @@ class IVFIndex:
             assignments = nearest_centroid(vectors, self._centroids, self._center)
         self._vectors = vectors
         self._assignments = assignments
-        self._lists = [
-            np.flatnonzero(assignments == c) for c in range(self.n_clusters)
-        ]
+        self._lists = _inverted_lists(assignments, self.n_clusters)
         self._alive = np.ones(vectors.shape[0], dtype=bool)
         if obs_events.enabled():
             sizes = np.array([len(lst) for lst in self._lists])
@@ -302,13 +341,15 @@ class IVFIndex:
         Tombstoned positions are never scanned.  ``exclude`` is an
         optional length-``ntotal`` boolean mask of further positions to
         skip (the serving layer masks base copies of entities that have
-        a newer delta version).  ``stable=True`` switches to the
-        *pair-stable* scorer (:func:`rowwise_scores`) with the total
-        tie order ``(-score, position asc)`` — bitwise-reproducible
-        across batch sizes, probe sets, and index rebuilds, which the
-        serving equality contracts require; the default path uses the
-        faster BLAS kernels whose exact float values may vary with the
-        scanned block shape.
+        a newer delta version).  Both paths select under the total
+        tie order ``(-score, position asc)``.  ``stable=True`` switches
+        to the *pair-stable* scorer (:func:`rowwise_scores`) —
+        bitwise-reproducible across batch sizes, probe sets, and index
+        rebuilds, which the serving equality contracts require; the
+        default path uses the faster threshold-pruned BLAS scan
+        (:meth:`_scan_pruned`), whose exact float values may vary with
+        the scanned block shape.  Either way, live members are gathered
+        only for the lists some query probes.
         """
         if self._vectors is None:
             raise RuntimeError("IVFIndex.search called before add()")
@@ -338,84 +379,162 @@ class IVFIndex:
             distances = centroid_distances(queries, self._centroids, self._center)
             if nprobe < self.n_clusters:
                 probe = np.argpartition(distances, nprobe - 1, axis=1)[:, :nprobe]
+                probed_lists = np.unique(probe)
             else:
                 probe = np.broadcast_to(
                     np.arange(self.n_clusters), (n_queries, self.n_clusters)
                 )
-            probed = np.zeros((n_queries, self.n_clusters), dtype=bool)
-            probed[np.arange(n_queries)[:, None], probe] = True
-            live_lists = [
-                self._live_members(cluster, exclude)
-                for cluster in range(self.n_clusters)
-            ]
-
-            rows: list[tuple[np.ndarray, np.ndarray]]
-            scanned = 0
-            shortfall = 0
+                probed_lists = np.arange(self.n_clusters)
+            live_lists = {
+                int(cluster): self._live_members(int(cluster), exclude)
+                for cluster in probed_lists
+            }
+            sizes = np.zeros(self.n_clusters, dtype=np.int64)
+            for cluster, members in live_lists.items():
+                sizes[cluster] = len(members)
+            # Every live member of every probed list is scored exactly
+            # once per query, on either path.
+            available = sizes[probe].sum(axis=1)
+            scanned = int(available.sum())
+            shortfall = int(np.count_nonzero(available < k))
             if stable:
-                # Query-major pair-stable scan: one rowwise kernel over
-                # the concatenated probed candidates per query, selected
-                # under the total order (-score, position asc).
-                rows = []
-                for query in range(n_queries):
-                    chunks = [
-                        live_lists[cluster]
-                        for cluster in np.flatnonzero(probed[query])
-                        if len(live_lists[cluster])
-                    ]
-                    if not chunks:
-                        rows.append((np.empty(0, dtype=np.int64), np.empty(0)))
-                        shortfall += 1
-                        continue
-                    ids = np.concatenate(chunks)
-                    scores = rowwise_scores(
-                        self.metric, queries[query], self._vectors[ids]
-                    )
-                    scanned += scores.size
-                    if len(ids) < k:
-                        shortfall += 1
-                    order = np.lexsort((ids, -scores))[:k]
-                    rows.append((ids[order], scores[order]))
+                found = self._scan_stable(queries, probe, live_lists, k)
             else:
-                gathered_ids: list[list[np.ndarray]] = [[] for _ in range(n_queries)]
-                gathered_scores: list[list[np.ndarray]] = [
-                    [] for _ in range(n_queries)
-                ]
-                # Cluster-major scan: one exact-metric kernel per (querying
-                # rows, inverted list) pair, never larger than |Q_c| x |L_c|.
-                for cluster, members in enumerate(live_lists):
-                    querying = np.flatnonzero(probed[:, cluster])
-                    if len(querying) == 0 or len(members) == 0:
-                        continue
-                    kernel = prepare_metric(
-                        self.metric, queries[querying], self._vectors[members]
-                    )
-                    sims = kernel(slice(0, len(querying)))
-                    scanned += sims.size
-                    for position, query in enumerate(querying):
-                        gathered_ids[query].append(members)
-                        gathered_scores[query].append(sims[position])
-
-                rows = []
-                for query in range(n_queries):
-                    if not gathered_ids[query]:
-                        rows.append((np.empty(0, dtype=np.int64), np.empty(0)))
-                        shortfall += 1
-                        continue
-                    ids = np.concatenate(gathered_ids[query])
-                    scores = np.concatenate(gathered_scores[query])
-                    if len(ids) > k:
-                        keep = np.argpartition(scores, len(scores) - k)[-k:]
-                        ids, scores = ids[keep], scores[keep]
-                    elif len(ids) < k:
-                        shortfall += 1
-                    rows.append((ids, scores))
+                found = self._scan_pruned(
+                    queries, probe, distances, live_lists, sizes, k
+                )
             span.count("scanned", scanned)
             span.count("shortfall", shortfall)
         registry.inc("index.search.queries", n_queries)
         registry.inc("index.search.scanned", scanned)
         registry.inc("index.search.shortfall", shortfall)
+        return found
+
+    def _scan_stable(
+        self,
+        queries: np.ndarray,
+        probe: np.ndarray,
+        live_lists: dict[int, np.ndarray],
+        k: int,
+    ) -> CandidateSet:
+        """Query-major pair-stable scan.
+
+        One rowwise kernel over the concatenated probed candidates per
+        query (lists in ascending id order), selected under the total
+        order ``(-score, position asc)``.
+        """
+        rows: list[tuple[np.ndarray, np.ndarray]] = []
+        for query in range(queries.shape[0]):
+            chunks = [
+                live_lists[int(cluster)]
+                for cluster in np.sort(probe[query])
+                if len(live_lists[int(cluster)])
+            ]
+            if not chunks:
+                rows.append((np.empty(0, dtype=np.int64), np.empty(0)))
+                continue
+            ids = np.concatenate(chunks)
+            scores = rowwise_scores(self.metric, queries[query], self._vectors[ids])
+            order = np.lexsort((ids, -scores))[:k]
+            rows.append((ids[order], scores[order]))
         return CandidateSet.from_rows(rows, n_targets=self.ntotal)
+
+    def _scan_pruned(
+        self,
+        queries: np.ndarray,
+        probe: np.ndarray,
+        distances: np.ndarray,
+        live_lists: dict[int, np.ndarray],
+        sizes: np.ndarray,
+        k: int,
+    ) -> CandidateSet:
+        """Cluster-major BLAS scan with threshold pruning.
+
+        Both sides are prepared once: the probed lists' live members are
+        laid out contiguously, list after list, so each list is a column
+        slice of one prepared kernel.  Blocks are (querying rows, list)
+        pairs, scanned in two phases:
+
+        1. each row's *nearest* probed list — the row keeps that list's
+           top-``k``, whose ``k``-th score becomes the row's threshold;
+        2. every other probed list — only pairs scoring at least the
+           row's threshold are kept.  The row's final top-``k`` already
+           has ``k`` pairs at or above it, so no dropped pair could have
+           entered.
+
+        Survivors go through one per-row selection under ``(-score,
+        position asc)``, which emits the CSR arrays directly.  Whenever
+        more than ``1.5 q k`` survivors pile up, they are compacted to
+        each row's top-``k`` so far, and a full row's ``k``-th score
+        becomes its (tighter) threshold — the survivor buffer stays
+        O(q k) even where the nearest list's threshold prunes little.
+        """
+        n_queries, width = probe.shape
+        starts = np.cumsum(sizes) - sizes
+        members = np.concatenate(
+            [live_lists[cluster] for cluster in sorted(live_lists)]
+        )
+        kernel = prepare_metric(self.metric, queries, self._vectors[members])
+
+        nearest_slot = np.take_along_axis(distances, probe, axis=1).argmin(axis=1)
+        nearest = probe[np.arange(n_queries), nearest_slot]
+        pair_rows = np.repeat(np.arange(n_queries), width)
+        pair_lists = probe.reshape(-1)
+        pair_later = pair_lists != nearest[pair_rows]
+        # Group (row, list) pairs by (phase, list); a stable sort keeps
+        # rows ascending inside each group.
+        group = pair_later * self.n_clusters + pair_lists
+        order = np.argsort(group, kind="stable")
+        group, pair_rows = group[order], pair_rows[order]
+        bounds = np.flatnonzero(np.diff(group)) + 1
+        group_starts = np.concatenate([[0], bounds])
+        group_stops = np.concatenate([bounds, [len(group)]])
+
+        thresholds = np.full(n_queries, -np.inf)
+        kept_rows = [np.empty(0, dtype=np.int64)]
+        kept_positions = [np.empty(0, dtype=np.int64)]
+        kept_scores = [np.empty(0)]
+        kept = 0
+        for lo, hi in zip(group_starts, group_stops):
+            later, cluster = divmod(int(group[lo]), self.n_clusters)
+            size = int(sizes[cluster])
+            if size == 0:
+                continue
+            rows = pair_rows[lo:hi]
+            start = int(starts[cluster])
+            block = kernel(rows, slice(start, start + size))
+            if not later and size > k:
+                thresholds[rows] = np.partition(block, size - k, axis=1)[:, size - k]
+            hits = np.flatnonzero(block >= thresholds[rows, None])
+            hit_row, hit_col = np.divmod(hits, size)
+            kept_rows.append(rows[hit_row])
+            kept_positions.append(live_lists[cluster][hit_col])
+            kept_scores.append(block.ravel()[hits])
+            kept += len(hits)
+            if kept > 3 * n_queries * k // 2:
+                # Compact to each row's top-k so far; a full row's k-th
+                # score is a tighter threshold for the lists still ahead.
+                indptr, positions, scores = _top_k_per_row(
+                    np.concatenate(kept_rows),
+                    np.concatenate(kept_positions),
+                    np.concatenate(kept_scores),
+                    n_queries,
+                    k,
+                )
+                counts = np.diff(indptr)
+                full = np.flatnonzero(counts == k)
+                thresholds[full] = scores[indptr[full + 1] - 1]
+                kept_rows = [np.repeat(np.arange(n_queries), counts)]
+                kept_positions, kept_scores = [positions], [scores]
+                kept = len(positions)
+        indptr, indices, scores = _top_k_per_row(
+            np.concatenate(kept_rows),
+            np.concatenate(kept_positions),
+            np.concatenate(kept_scores),
+            n_queries,
+            k,
+        )
+        return CandidateSet(indptr, indices, scores, self.ntotal)
 
     # -- reporting -----------------------------------------------------
 
@@ -536,9 +655,7 @@ class IVFIndex:
         index._center = np.asarray(document["center"], dtype=np.float64)
         index._vectors = np.asarray(document["vectors"], dtype=np.float64)
         index._assignments = np.asarray(document["assignments"], dtype=np.int64)
-        index._lists = [
-            np.flatnonzero(index._assignments == c) for c in range(index.n_clusters)
-        ]
+        index._lists = _inverted_lists(index._assignments, index.n_clusters)
         index._alive = np.ones(index.ntotal, dtype=bool)
         tombstones = document.get("tombstones")
         if tombstones:

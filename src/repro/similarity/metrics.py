@@ -6,7 +6,9 @@ are negated so downstream code never has to branch on metric direction.
 
 Each metric is factored into a *prepared kernel* (:func:`prepare_metric`):
 a one-time preparation over the full inputs (row normalisation, squared
-norms) plus a function that computes any row block of ``S``.  The public
+norms) plus a function that computes any block of ``S``: a source-row
+selection (a slice or an index array) against all targets, or against a
+contiguous target-column slice.  The public
 functions compute the single full-matrix block; the chunked helpers and
 the :class:`~repro.similarity.engine.SimilarityEngine` schedule many
 blocks, serially or across threads.  Preparation is row-independent, so
@@ -30,8 +32,11 @@ from repro.utils.validation import check_embedding_matrix, check_shape_compatibl
 
 _EPS = 1e-12
 
-#: A prepared kernel: maps a source-row slice to that block of ``S``.
-BlockKernel = Callable[[slice], np.ndarray]
+#: A prepared kernel: maps a source-row selection, and optionally a
+#: target-column slice (default: every target), to that block of ``S``.
+BlockKernel = Callable[..., np.ndarray]
+
+_ALL = slice(None)
 
 
 def _normalize_rows(matrix: np.ndarray) -> np.ndarray:
@@ -44,8 +49,8 @@ def _prepare_cosine(source: np.ndarray, target: np.ndarray) -> BlockKernel:
     normalized_source = _normalize_rows(source)
     normalized_target_t = _normalize_rows(target).T
 
-    def block(rows: slice) -> np.ndarray:
-        return normalized_source[rows] @ normalized_target_t
+    def block(rows, cols: slice = _ALL) -> np.ndarray:
+        return normalized_source[rows] @ normalized_target_t[:, cols]
 
     return block
 
@@ -56,9 +61,9 @@ def _prepare_euclidean(source: np.ndarray, target: np.ndarray) -> BlockKernel:
     sq_source = np.sum(source**2, axis=1)
     sq_target = np.sum(target**2, axis=1)
 
-    def block(rows: slice) -> np.ndarray:
-        squared = sq_source[rows, None] + sq_target[None, :]
-        squared -= 2.0 * (source[rows] @ target.T)
+    def block(rows, cols: slice = _ALL) -> np.ndarray:
+        squared = sq_source[rows, None] + sq_target[None, cols]
+        squared -= 2.0 * (source[rows] @ target[cols].T)
         np.maximum(squared, 0.0, out=squared)
         np.sqrt(squared, out=squared)
         np.negative(squared, out=squared)
@@ -70,17 +75,16 @@ def _prepare_euclidean(source: np.ndarray, target: np.ndarray) -> BlockKernel:
 def _prepare_manhattan(
     source: np.ndarray, target: np.ndarray, chunk_elems: int
 ) -> BlockKernel:
-    n_target, dim = target.shape[0], target.shape[1]
-    # L1 has no matmul shortcut; bound the (rows x n_target x dim)
-    # broadcast intermediate to ~chunk_elems elements per inner step.
-    inner_rows = rows_per_chunk(n_target * dim, chunk_elems)
-
-    def block(rows: slice) -> np.ndarray:
-        sub = source[rows]
+    def block(rows, cols: slice = _ALL) -> np.ndarray:
+        sub, columns = source[rows], target[cols]
+        n_target, dim = columns.shape
+        # L1 has no matmul shortcut; bound the (rows x n_target x dim)
+        # broadcast intermediate to ~chunk_elems elements per inner step.
+        inner_rows = rows_per_chunk(n_target * dim, chunk_elems)
         result = np.empty((sub.shape[0], n_target), dtype=sub.dtype)
         for start in range(0, sub.shape[0], inner_rows):
             stop = min(start + inner_rows, sub.shape[0])
-            diffs = np.abs(sub[start:stop, None, :] - target[None, :, :])
+            diffs = np.abs(sub[start:stop, None, :] - columns[None, :, :])
             result[start:stop] = -diffs.sum(axis=2)
         return result
 
@@ -95,7 +99,8 @@ def prepare_metric(
 ) -> BlockKernel:
     """One-time preparation of ``metric`` over validated inputs.
 
-    Returns a kernel computing any source-row block of ``S``.  Inputs
+    Returns a kernel computing any block of ``S`` (``kernel(rows)`` or
+    ``kernel(rows, cols)`` with ``cols`` a target-column slice).  Inputs
     must already be validated and dtype-cast by the caller — this is the
     engine-facing seam below the public API.  ``chunk_elems`` bounds the
     broadcast intermediate of metrics without a matmul form (Manhattan).

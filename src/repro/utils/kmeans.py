@@ -8,9 +8,19 @@ keeps the two paths bit-identical on the quantizer they share — an index
 trained with ``n_clusters`` probes exactly the partition a blocked
 matcher with ``num_blocks`` would have formed.
 
-The fit is O(n d k) with no n^2 matrix, and fully deterministic:
-k-means++-style greedy farthest-point seeding from a fixed start, a
-fixed iteration count, and no randomness anywhere.
+The fit is fully deterministic: k-means++-style greedy farthest-point
+seeding from a fixed start, a fixed iteration count, and no randomness
+anywhere.  Cost, for ``n`` points of dimension ``d`` and ``k`` clusters:
+
+* seeding is ``k`` mat-vec passes over the data, O(n d k) flops but only
+  O(n) extra memory — distances come from cached squared norms
+  (``|x|^2 - 2 x.c + |c|^2``), never from an ``n x d`` difference;
+* each round assigns points in fixed row chunks of
+  :data:`ASSIGN_CHUNK_ELEMS` distance entries, so no ``n x k`` matrix
+  is ever built, and updates all centroids in one grouped pass.
+
+Peak working memory beyond the centered copy of the input is therefore
+O(n + k d + ASSIGN_CHUNK_ELEMS), independent of ``n x k``.
 """
 
 from __future__ import annotations
@@ -18,6 +28,12 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
+
+from repro.utils.parallel import row_chunks, rows_per_chunk
+
+#: Distance entries per assignment chunk (rows x k, float64): 2 MiB per
+#: temporary, a fixed grid that depends on ``k`` only.
+ASSIGN_CHUNK_ELEMS = 2**18
 
 
 def kmeans_centroids(
@@ -43,26 +59,31 @@ def kmeans_centroids(
     """
     center = matrix.mean(axis=0)
     centered = matrix - center
-    # Farthest-point seeding from a fixed start.
+    # Farthest-point seeding from a fixed start, on squared distances
+    # (same argmax as the distances themselves): one mat-vec per seed,
+    # into a reused buffer.
+    sq_norms = np.einsum("ij,ij->i", centered, centered)
+    buffer = np.empty_like(sq_norms)
+
+    def squared_distances_to(seed: int) -> np.ndarray:
+        """``|x|^2 - 2.0 * x.c + |c|^2`` for every row, into ``buffer``."""
+        np.matmul(centered, centered[seed], out=buffer)
+        np.multiply(buffer, 2.0, out=buffer)
+        np.subtract(sq_norms, buffer, out=buffer)
+        return np.add(buffer, sq_norms[seed], out=buffer)
+
     chosen = [0]
-    distances = np.linalg.norm(centered - centered[0], axis=1)
+    distances = squared_distances_to(0).copy()
     for _ in range(1, k):
         next_idx = int(distances.argmax())
         chosen.append(next_idx)
-        distances = np.minimum(
-            distances, np.linalg.norm(centered - centered[next_idx], axis=1)
-        )
+        np.minimum(distances, squared_distances_to(next_idx), out=distances)
     centroids = centered[chosen].copy()
 
     previous = None
     for round_index in range(iterations):
-        assignment = centroid_distances(
-            centered, centroids, np.zeros_like(center)
-        ).argmin(axis=1)
-        for b in range(k):
-            members = centered[assignment == b]
-            if len(members):
-                centroids[b] = members.mean(axis=0)
+        assignment = nearest_centroid(centered, centroids, np.zeros_like(center))
+        _update_centroids(centered, assignment, centroids)
         if on_round is not None:
             moved = (
                 len(assignment)
@@ -74,23 +95,89 @@ def kmeans_centroids(
     return centroids, center
 
 
+def _update_centroids(
+    centered: np.ndarray, assignment: np.ndarray, centroids: np.ndarray
+) -> None:
+    """Move each non-empty cluster's centroid to its members' mean, in place.
+
+    One grouped pass per dimension: ``np.bincount`` accumulates each
+    cluster's members in ascending row order, exactly the order
+    ``centered[assignment == b].mean(axis=0)`` sums them, so the
+    centroids are bitwise those of a per-cluster mean.  Empty clusters
+    keep their previous centroid.
+    """
+    k = len(centroids)
+    counts = np.bincount(assignment, minlength=k)
+    filled = np.flatnonzero(counts)
+    sums = np.stack(
+        [np.bincount(assignment, weights=column, minlength=k) for column in centered.T],
+        axis=1,
+    )
+    centroids[filled] = sums[filled] / counts[filled, None]
+
+
 def centroid_distances(
     matrix: np.ndarray, centroids: np.ndarray, center: np.ndarray
 ) -> np.ndarray:
-    """Squared distances to each centroid.
+    """Squared distances to each centroid, as one ``(n, k)`` matrix.
 
     ``center`` is the mean the centroids were fitted under; query rows
     are shifted by the *same* mean so both sides live in one coordinate
-    frame.
+    frame.  Allocates ``n x k``: callers that only need the nearest
+    centroid use :func:`nearest_centroid`, which works in bounded chunks.
     """
-    data = matrix - center
-    sq_data = np.sum(data**2, axis=1)[:, None]
-    sq_centroids = np.sum(centroids**2, axis=1)[None, :]
-    return sq_data + sq_centroids - 2.0 * (data @ centroids.T)
+    shape = (matrix.shape[0], centroids.shape[0])
+    return _distances_into(
+        matrix - center,
+        centroids,
+        np.sum(centroids**2, axis=1),
+        np.empty(shape),
+        np.empty(shape),
+    )
 
 
 def nearest_centroid(
     matrix: np.ndarray, centroids: np.ndarray, center: np.ndarray
 ) -> np.ndarray:
-    """Nearest-centroid cluster id per row of ``matrix``."""
-    return centroid_distances(matrix, centroids, center).argmin(axis=1)
+    """Nearest-centroid cluster id per row of ``matrix``.
+
+    Equal to ``centroid_distances(matrix, centroids, center).argmin(1)``
+    but computed in row chunks of about :data:`ASSIGN_CHUNK_ELEMS`
+    distances through two reused buffers, so the working set is bounded
+    regardless of ``n``.
+    """
+    assignment = np.empty(matrix.shape[0], dtype=np.int64)
+    sq_centroids = np.sum(centroids**2, axis=1)
+    chunk_rows = rows_per_chunk(len(centroids), ASSIGN_CHUNK_ELEMS)
+    distances = np.empty((min(chunk_rows, matrix.shape[0]), len(centroids)))
+    products = np.empty_like(distances)
+    for rows in row_chunks(matrix.shape[0], chunk_rows):
+        n_rows = rows.stop - rows.start
+        assignment[rows] = _distances_into(
+            matrix[rows] - center,
+            centroids,
+            sq_centroids,
+            distances[:n_rows],
+            products[:n_rows],
+        ).argmin(axis=1)
+    return assignment
+
+
+def _distances_into(
+    data: np.ndarray,
+    centroids: np.ndarray,
+    sq_centroids: np.ndarray,
+    distances: np.ndarray,
+    products: np.ndarray,
+) -> np.ndarray:
+    """``|x|^2 + |c|^2 - 2.0 * x.c`` written into ``distances``.
+
+    The one distance formula both entry points share; ``products`` is
+    scratch of the same shape.  Evaluated in place with the same
+    roundings as the plain expression.
+    """
+    np.add(np.sum(data**2, axis=1)[:, None], sq_centroids, out=distances)
+    np.matmul(data, centroids.T, out=products)
+    products *= 2.0
+    distances -= products
+    return distances

@@ -128,6 +128,18 @@ class TestStableSearch:
         np.testing.assert_array_equal(found.row(0)[0], [0, 1, 2])
 
 
+class TestDefaultSearchTies:
+    def test_default_path_ties_break_by_ascending_position(self):
+        # Two lists of parallel vectors (scaled by a power of two, so the
+        # cosines tie exactly).  The query's nearest list holds the high
+        # positions; the answer must still be the lowest positions.
+        vectors = np.concatenate([np.full((300, 3), 4.0), np.ones((300, 3))])
+        index = IVFIndex(n_clusters=2).train(vectors).add(vectors)
+        found = index.search(np.ones((2, 3)), k=40, nprobe=2)
+        for row in range(2):
+            np.testing.assert_array_equal(found.row(row)[0], np.arange(40))
+
+
 class TestTombstonePersistence:
     def test_round_trip_preserves_tombstones(self, built, tmp_path, rng):
         index, _ = built

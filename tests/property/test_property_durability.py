@@ -10,7 +10,7 @@ never a hang, and never a silently wrong answer.
 import json
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import DataIntegrityError
@@ -117,22 +117,32 @@ class TestIVFCorruption:
             assert "IVF index" in str(error)
 
     @settings(max_examples=25, deadline=None)
-    @given(data=st.data())
-    def test_any_bit_flip_raises_typed_or_roundtrips(self, tmp_path_factory, data):
+    @given(offset=st.integers(0, 2**16), mask=flip_masks)
+    # Byte 129 is the 17th significant digit of a center coordinate:
+    # "...29954699229" -> "...29954699228" parses back to the same double,
+    # so the document still verifies and must load with identical content.
+    @example(offset=129, mask=1)
+    def test_any_bit_flip_raises_typed_or_roundtrips(
+        self, tmp_path_factory, offset, mask
+    ):
         path = _ivf_bytes(tmp_path_factory.mktemp("ivf"))
+        original = IVFIndex.load(path)
         raw = bytearray(path.read_bytes())
-        offset = data.draw(st.integers(0, len(raw) - 2))  # spare the newline
-        raw[offset] ^= data.draw(flip_masks)
+        raw[offset % (len(raw) - 1)] ^= mask  # spare the newline
         path.write_bytes(bytes(raw))
         try:
-            IVFIndex.load(path)
-            raise AssertionError("a flipped index document must not load")
+            loaded = IVFIndex.load(path)
         except json.JSONDecodeError:
             raise AssertionError("raw JSONDecodeError escaped IVFIndex.load")
         except UnicodeDecodeError:
             raise AssertionError("raw UnicodeDecodeError escaped IVFIndex.load")
         except (DataIntegrityError, ValueError):
-            pass  # typed: bad JSON, bad format/version, or checksum mismatch
+            return  # typed: bad JSON, bad format/version, or checksum mismatch
+        # A flip that still verifies must change nothing the index holds.
+        np.testing.assert_array_equal(loaded._center, original._center)
+        np.testing.assert_array_equal(loaded._centroids, original._centroids)
+        np.testing.assert_array_equal(loaded._vectors, original._vectors)
+        np.testing.assert_array_equal(loaded._assignments, original._assignments)
 
 
 class TestLedgerCorruption:
