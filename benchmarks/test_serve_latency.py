@@ -10,7 +10,12 @@ regression gate:
   worst realistic read path: IVF probe + brute-force delta scan +
   merge;
 * coalesced throughput through the ``MicroBatcher`` with concurrent
-  submitters, reported as ``queries_per_second``.
+  submitters, reported as ``queries_per_second``;
+* the ``boot`` block: ``ServingState.load`` seconds at 100k x 32 (316
+  lists — the ``perfbench`` serve-mixed shape), the vector-free index
+  file's size and save seconds, and the median ``insert_seconds`` at
+  10k and 100k base rows (an insert copies no vector, so the two should
+  stay close).
 
 Absolute numbers are hardware-bound; the committed baseline is gated
 with the wide ``*per_second*`` / ``*seconds*`` tolerance bands in
@@ -154,3 +159,75 @@ def test_batched_throughput(served_state):
     print(f"\nserve batched: {qps:.0f} qps "
           f"(mean batch {stats['mean_batch']:.1f}, largest {stats['largest_batch']})")
     assert qps > 20.0  # sanity floor, not a perf target
+
+
+BOOT_ROWS, BOOT_DIM, BOOT_LISTS = 100_000, 32, 316
+BOOT_REPEATS = 3
+INSERT_SIZES = (10_000, 100_000)
+INSERTS = 200
+
+
+def _serving_artifacts(root, n_rows, lists, rng):
+    """A sealed store with insert headroom plus its saved index."""
+    base = rng.normal(size=(n_rows, BOOT_DIM))
+    store = EmbeddingStore.create(
+        root / "emb.store", base.shape, "float64", capacity=n_rows + INSERTS
+    )
+    store[:] = base
+    store.update_checksum()
+    store.close()
+    # Train on a seeded 64-rows-per-list sample (untimed set-up), fill
+    # the lists with every row.
+    sample = rng.choice(n_rows, min(n_rows, 64 * lists), replace=False)
+    index = IVFIndex(n_clusters=lists, train_iterations=4)
+    index.train(base[sample]).add(base)
+    start = time.perf_counter()
+    index.save(root / "ivf")
+    save_seconds = time.perf_counter() - start
+    return root / "emb.store", root / "ivf", save_seconds
+
+
+def test_boot_and_insert(tmp_path_factory):
+    rng = np.random.default_rng(20261018)
+    store_path, index_path, save_seconds = _serving_artifacts(
+        tmp_path_factory.mktemp("boot"), BOOT_ROWS, BOOT_LISTS, rng
+    )
+    boots = []
+    for _ in range(BOOT_REPEATS):
+        start = time.perf_counter()
+        state = ServingState.load(store_path, index_path, nprobe=8)
+        boots.append(time.perf_counter() - start)
+        state.store.close()
+    index_bytes = index_path.stat().st_size
+
+    insert_seconds = {}
+    for n_rows in INSERT_SIZES:
+        lists = max(1, int(round(np.sqrt(n_rows))))
+        store_path, index_path, _ = _serving_artifacts(
+            tmp_path_factory.mktemp(f"insert-{n_rows}"), n_rows, lists, rng
+        )
+        state = ServingState.load(store_path, index_path, nprobe=8)
+        samples = np.empty(INSERTS)
+        for row, vector in enumerate(rng.normal(size=(INSERTS, BOOT_DIM))):
+            start = time.perf_counter()
+            state.insert(vector)
+            samples[row] = time.perf_counter() - start
+        state.store.close()
+        insert_seconds[f"rows_{n_rows}"] = float(np.median(samples))
+
+    load_seconds = float(np.median(boots))
+    _merge_results("boot", {
+        "n_rows": BOOT_ROWS, "dim": BOOT_DIM, "n_clusters": BOOT_LISTS,
+        "repeats": BOOT_REPEATS, "inserts": INSERTS,
+        "load_seconds": load_seconds,
+        "save_seconds": save_seconds,
+        "index_file_bytes": index_bytes,
+        "insert_seconds": insert_seconds,
+    })
+    print(f"\nserve boot: load={load_seconds:.3f}s save={save_seconds:.3f}s "
+          f"index={index_bytes / 2**20:.2f} MiB insert="
+          + ", ".join(f"{key}:{value * 1e3:.2f}ms"
+                      for key, value in insert_seconds.items()))
+    # The file holds no vectors: far below the 25.6 MB of float64 rows.
+    assert index_bytes < 2**20
+    assert save_seconds < 0.5

@@ -13,8 +13,9 @@ Usage (after ``pip install -e .``)::
     python -m repro match dbp15k/zh_en --matcher Sink. --profile out.json
     python -m repro match dbp15k/zh_en --matcher CSLS --index ivf --k 50 --nprobe 4
     python -m repro match dbp15k/zh_en --matcher Hun. --ledger runs.jsonl --events -
-    python -m repro index build dbp15k/zh_en --regime R -o out/zh_en.ivf.json
-    python -m repro index stats out/zh_en.ivf.json
+    python -m repro index build dbp15k/zh_en --regime R -o out/zh_en.ivf
+    python -m repro index stats out/zh_en.ivf
+    python -m repro index migrate old.ivf.json out/zh_en.ivf  # v1 JSON -> v2
     python -m repro profile summarize out.json
     python -m repro explain dbp15k/zh_en --query 3        # Appendix D case study
     python -m repro runs list --ledger runs.jsonl
@@ -22,8 +23,8 @@ Usage (after ``pip install -e .``)::
     python -m repro runs drift                            # gate vs committed bands
     python -m repro runs fsck --ledger runs.jsonl --repair  # truncate a torn tail
     python -m repro store verify out/embeddings.npy.store # checksum an embedding store
-    python -m repro serve --store out/emb.store --index out/zh_en.ivf.json --port 8080
-    python -m repro soak --store out/emb.store --index out/zh_en.ivf.json \
+    python -m repro serve --store out/emb.store --index out/zh_en.ivf --port 8080
+    python -m repro soak --store out/emb.store --index out/zh_en.ivf \
         --duration 30 --qps 100 --seed 0 --report soak.json
     python -m repro match dbp15k/zh_en --matcher Hun. --ledger runs.jsonl --resume
 """
@@ -60,7 +61,7 @@ from repro.experiments.tables import (
     table7_unmatchable,
     table8_non_one_to_one,
 )
-from repro.index import INDEX_KINDS, IndexConfig, IVFIndex, build_candidates
+from repro.index import INDEX_KINDS, IVF_VERSION, IndexConfig, IVFIndex, build_candidates
 from repro.kg.io import save_alignment_task
 from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
@@ -229,6 +230,13 @@ def build_parser() -> argparse.ArgumentParser:
         "stats", help="print a saved index's structure statistics"
     )
     stats.add_argument("path", type=Path)
+    migrate = index_sub.add_parser(
+        "migrate",
+        help="convert a version-1 (JSON) index document to the version-2 "
+             "binary format (one way)",
+    )
+    migrate.add_argument("old", type=Path)
+    migrate.add_argument("new", type=Path)
 
     profile = subparsers.add_parser(
         "profile", help="inspect observability profiles"
@@ -675,6 +683,19 @@ def _run_index_stats(path: Path) -> int:
     except (OSError, ValueError, KeyError) as err:
         print(f"cannot load index {path}: {err}", file=sys.stderr)
         return 1
+    _print_index_stats(index)
+    return 0
+
+
+def _run_index_migrate(old: Path, new: Path) -> int:
+    from repro.index.migrate import migrate
+
+    try:
+        index = migrate(old, new)
+    except (OSError, ValueError, KeyError) as err:
+        print(f"cannot migrate index {old}: {err}", file=sys.stderr)
+        return 1
+    print(f"index written to {new} (version {IVF_VERSION})")
     _print_index_stats(index)
     return 0
 
@@ -1185,6 +1206,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command == "index":
         if args.index_command == "build":
             return _run_index_build(args)
+        if args.index_command == "migrate":
+            return _run_index_migrate(args.old, args.new)
         return _run_index_stats(args.path)
     if args.command == "profile":
         try:

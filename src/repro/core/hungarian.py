@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.optimize
 
 from repro.core.base import MatchResult, PipelineMatcher
 from repro.obs import metrics as obs_metrics
@@ -114,7 +113,11 @@ def solve_assignment_max(
     n_source, n_target = scores.shape
 
     if backend == "scipy":
-        rows, cols = scipy.optimize.linear_sum_assignment(scores, maximize=True)
+        # Imported here: scipy.optimize costs ~0.5 s at import, and every
+        # CLI start (the serving daemon's included) imports this module.
+        from scipy.optimize import linear_sum_assignment
+
+        rows, cols = linear_sum_assignment(scores, maximize=True)
         pairs = np.stack([rows, cols], axis=1)
         return pairs, scores[rows, cols]
 

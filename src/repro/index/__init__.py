@@ -6,7 +6,9 @@ The first path through the stack that never allocates an n x n matrix:
   per-source top-k container the sparse matchers decode;
 * :mod:`repro.index.ivf` — :class:`IVFIndex`, a from-scratch numpy IVF
   index (shared mini k-means quantizer, exact rescoring, obs
-  instrumentation, JSON persistence);
+  instrumentation, vector-free binary persistence bound to a store);
+* :mod:`repro.index.migrate` — the one-way version-1 (JSON) to
+  version-2 converter behind ``repro index migrate``;
 * :mod:`repro.index.config` — :class:`IndexConfig` +
   :func:`build_candidates`, the one-argument handle the runner,
   pipeline, and CLI accept;
@@ -18,7 +20,7 @@ The first path through the stack that never allocates an n x n matrix:
 from repro.index.blocked import blocked_candidates, default_clusters, default_nprobe
 from repro.index.candidates import CandidateSet
 from repro.index.config import INDEX_KINDS, IndexConfig, build_candidates
-from repro.index.ivf import IVF_FORMAT, IVF_VERSION, IVFIndex
+from repro.index.ivf import IVF_FORMAT, IVF_VERSION, IVFIndex, LegacyIndexError
 
 __all__ = [
     "CandidateSet",
@@ -31,4 +33,5 @@ __all__ = [
     "IVF_FORMAT",
     "IVF_VERSION",
     "IVFIndex",
+    "LegacyIndexError",
 ]

@@ -22,15 +22,42 @@ a time, and at most ``~1.5 q k`` pairs that survive threshold pruning
 (plus one block's survivors) — never the ``q x scanned`` pairs it
 scores.
 
+Where the vectors live.  :meth:`IVFIndex.add` keeps a reference to the
+matrix it was given (no copy for a float64 array); :meth:`IVFIndex.bind`
+instead points the index at an
+:class:`~repro.storage.memmap.EmbeddingStore`, whose first ``ntotal``
+rows it then reads straight from the memmap — the serving daemon's one
+copy of every vector.  Gathered rows are upcast to float64 before
+scoring, so a float64 store scores bitwise like the in-memory array and
+a float32 store scores its own durable bytes.
+
+Persistence (:meth:`IVFIndex.save` / :meth:`IVFIndex.load`) is a
+vector-free checksummed binary file, format version 2::
+
+    [ 8 B magic b"REPROIVF" ][ 8 B little-endian header length H ]
+    [ H B canonical JSON header, space-padded to 8-byte alignment ]
+    [ center f8[dim] ][ centroids f8[n_clusters, dim] ]
+    [ assignments i8[ntotal] ][ tombstones i8[n_tombstones] ]
+    [ 32 B hex blake2b-128 of every byte before it ]
+
+The header records the configuration, the array lengths, and the
+*provenance* of the indexed rows: a blake2b digest of rows
+``0..ntotal`` as C-ordered float64.  :meth:`IVFIndex.bind` recomputes
+that digest over the store's rows and refuses a store the index was not
+built from.  Loading is one read, one checksum over the raw bytes, and
+``np.frombuffer`` — no vector is parsed, because none is stored.  The
+version-1 JSON document (which embedded every vector as text) is read
+only by ``repro index migrate`` (:mod:`repro.index.migrate`).
+
 The index is observable (``index.*`` spans and counters: queries,
-scanned candidates, per-row shortfalls) and persistable to a
-schema-versioned JSON document (:meth:`IVFIndex.save` /
-:meth:`IVFIndex.load`).
+scanned candidates, per-row shortfalls).
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -41,26 +68,60 @@ from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.similarity.metrics import prepare_metric, rowwise_scores
-from repro.storage.durable import atomic_write, payload_checksum, verify_checksum
+from repro.storage.durable import (
+    CHECKSUM_ALGORITHM,
+    CHECKSUM_DIGEST_SIZE,
+    atomic_write,
+    payload_checksum,
+    verify_checksum,
+)
 from repro.utils.kmeans import centroid_distances, kmeans_centroids, nearest_centroid
 from repro.utils.validation import check_embedding_matrix
 
 #: Persistence format tag and version (bumped on breaking layout change).
 IVF_FORMAT = "repro-ivf"
-IVF_VERSION = 1
+IVF_VERSION = 2
+IVF_MAGIC = b"REPROIVF"
+#: Magic + header length, then the header starts.
+_PREFIX = struct.Struct("<8sQ")
+#: The trailing hex checksum over every preceding byte.
+_TRAILER_BYTES = 2 * CHECKSUM_DIGEST_SIZE
+#: Rows hashed per step by :func:`rows_digest` (bounds the float64 upcast).
+_DIGEST_CHUNK_ROWS = 1 << 16
 
 
-def _document_checksum(document: dict) -> str:
-    """Digest of the index document's content (every key but ``checksum``)."""
-    body = {key: value for key, value in document.items() if key != "checksum"}
-    return payload_checksum(json.dumps(body, sort_keys=True).encode("utf-8"))
+class LegacyIndexError(ValueError):
+    """A version-1 (JSON) index document, which this build does not load.
+
+    Convert it once with ``repro index migrate OLD NEW``.
+    """
+
+
+def rows_digest(rows: np.ndarray) -> str:
+    """blake2b digest of ``rows`` as C-ordered float64 bytes.
+
+    The provenance an index file records for the rows it indexes.
+    float64 rows are hashed in place; other dtypes are upcast one
+    bounded chunk at a time.
+    """
+    digest = hashlib.blake2b(digest_size=CHECKSUM_DIGEST_SIZE)
+    for start in range(0, rows.shape[0], _DIGEST_CHUNK_ROWS):
+        chunk = np.ascontiguousarray(
+            rows[start : start + _DIGEST_CHUNK_ROWS], dtype=np.float64
+        )
+        digest.update(memoryview(chunk).cast("B"))
+    return digest.hexdigest()
 
 
 def _inverted_lists(assignments: np.ndarray, n_clusters: int) -> list[np.ndarray]:
-    """Positions per cluster, ascending, from one stable grouping sort."""
+    """Positions per cluster, ascending, from one stable grouping sort.
+
+    Positions assigned ``-1`` (tombstoned rows a re-cluster left out)
+    belong to no list.
+    """
     order = np.argsort(assignments, kind="stable")
-    counts = np.bincount(assignments, minlength=n_clusters)
-    return np.split(order, np.cumsum(counts)[:-1])[:n_clusters]
+    counts = np.bincount(assignments + 1, minlength=n_clusters + 1)
+    return np.split(order, np.cumsum(counts)[:-1])[1 : n_clusters + 1]
 
 
 def _top_k_per_row(
@@ -95,7 +156,9 @@ class IVFIndex:
     Lifecycle: :meth:`train` fits the coarse quantizer, :meth:`add`
     assigns vectors to inverted lists, :meth:`search` returns each
     query's exact-rescored top-k candidates as a
-    :class:`~repro.index.candidates.CandidateSet`.
+    :class:`~repro.index.candidates.CandidateSet`.  An index read back
+    by :meth:`load` holds no vectors until :meth:`bind` points it at the
+    store it was built from.
     """
 
     def __init__(
@@ -113,7 +176,15 @@ class IVFIndex:
         self.train_iterations = train_iterations
         self._centroids: np.ndarray | None = None
         self._center: np.ndarray | None = None
-        self._vectors: np.ndarray | None = None
+        #: The indexed rows ``0..ntotal`` (an in-memory matrix, or a
+        #: view of the bound store); None for a loaded, unbound index.
+        self._rows: np.ndarray | None = None
+        #: The bound store, when rows come from one (see :meth:`bind`).
+        self._store = None
+        #: The row digest a loaded file recorded (checked by :meth:`bind`).
+        self._rows_digest: str | None = None
+        #: Where the index was loaded from, for error messages.
+        self._origin = "(in memory)"
         self._assignments: np.ndarray | None = None
         self._lists: list[np.ndarray] = []
         #: Liveness per indexed position; False = tombstoned (skipped by
@@ -128,8 +199,12 @@ class IVFIndex:
 
     @property
     def ntotal(self) -> int:
-        """Number of indexed positions (tombstoned ones included)."""
-        return 0 if self._vectors is None else self._vectors.shape[0]
+        """Number of indexed positions (dead ones included).
+
+        Positions are never renumbered: after :meth:`recluster` the
+        tombstoned positions stay counted here, in no inverted list.
+        """
+        return 0 if self._alive is None else len(self._alive)
 
     @property
     def n_alive(self) -> int:
@@ -138,8 +213,10 @@ class IVFIndex:
 
     @property
     def n_tombstoned(self) -> int:
-        """Number of tombstoned positions awaiting compaction."""
-        return self.ntotal - self.n_alive
+        """Number of tombstoned positions still in a list (awaiting compaction)."""
+        if self._alive is None:
+            return 0
+        return int(np.count_nonzero(~self._alive & (self._assignments >= 0)))
 
     @property
     def dim(self) -> int | None:
@@ -153,10 +230,20 @@ class IVFIndex:
         return self._alive
 
     def reconstruct(self, positions: np.ndarray) -> np.ndarray:
-        """The stored vectors at ``positions`` (a view; do not mutate)."""
-        if self._vectors is None:
-            raise RuntimeError("IVFIndex.reconstruct called before add()")
-        return self._vectors[np.asarray(positions, dtype=np.int64)]
+        """The indexed rows at ``positions``, as a new float64 array."""
+        self._require_rows("reconstruct")
+        return self._gather(np.asarray(positions, dtype=np.int64))
+
+    def _gather(self, positions: np.ndarray) -> np.ndarray:
+        """Rows at ``positions``, upcast to float64 for scoring."""
+        return np.asarray(self._rows[positions], dtype=np.float64)
+
+    def _require_rows(self, operation: str) -> None:
+        if self._rows is None:
+            raise RuntimeError(
+                f"IVFIndex.{operation} called before add() (a loaded index "
+                f"needs bind() to the store it was built from)"
+            )
 
     def train(self, vectors: np.ndarray) -> "IVFIndex":
         """Fit the coarse quantizer on ``vectors`` (O(n d k), no n^2 or n k).
@@ -191,7 +278,9 @@ class IVFIndex:
                 vectors, k, iterations=self.train_iterations, on_round=on_round
             )
         self.n_clusters = k
-        self._vectors = None
+        self._rows = None
+        self._store = None
+        self._rows_digest = None
         self._assignments = None
         self._lists = []
         self._alive = None
@@ -210,7 +299,9 @@ class IVFIndex:
             )
         with obs_trace.span("index.add", n=vectors.shape[0]):
             assignments = nearest_centroid(vectors, self._centroids, self._center)
-        self._vectors = vectors
+        self._rows = vectors
+        self._store = None
+        self._rows_digest = None
         self._assignments = assignments
         self._lists = _inverted_lists(assignments, self.n_clusters)
         self._alive = np.ones(vectors.shape[0], dtype=bool)
@@ -235,12 +326,16 @@ class IVFIndex:
         The incremental-insert primitive: no retraining, no rebuild —
         the coarse quantizer stays fixed and the vector joins the list
         whose centroid is nearest, exactly as :meth:`add` would have
-        assigned it.  O(n_clusters · d) per call.  The payload arrays
-        are rebound (never mutated in place), so clones sharing them
-        (:meth:`clone`) are unaffected.
+        assigned it.  The payload arrays are rebound (never mutated in
+        place), so clones sharing them (:meth:`clone`) are unaffected.
+
+        A store-bound index (:meth:`bind`) copies no vector: the store
+        must already hold ``vector`` as row ``ntotal`` (the caller
+        appended it durably), and the index pins the one-row-longer
+        prefix of the store and assigns the row *as stored*.  An index
+        over an in-memory matrix grows a copy of it instead.
         """
-        if self._vectors is None:
-            raise RuntimeError("IVFIndex.append_to_list called before add()")
+        self._require_rows("append_to_list")
         vector = np.asarray(vector, dtype=np.float64).reshape(-1)
         if vector.shape[0] != self.dim:
             raise ValueError(
@@ -248,11 +343,27 @@ class IVFIndex:
                 f"quantizer dim {self.dim}"
             )
         check_embedding_matrix(vector[None, :], "vector")
+        position = self.ntotal
+        if self._store is not None:
+            if self._store.n_rows <= position:
+                raise ValueError(
+                    f"store {self._store.path} holds no row {position}; "
+                    f"append the vector to the store before indexing it"
+                )
+            rows = self._store.rows(slice(0, position + 1))
+            stored = rows[position]
+            if not np.array_equal(stored, vector.astype(stored.dtype)):
+                raise ValueError(
+                    f"vector does not match row {position} of store "
+                    f"{self._store.path}"
+                )
+            vector = np.asarray(stored, dtype=np.float64)
+        else:
+            rows = np.concatenate([self._rows, vector[None, :]])
         cluster = int(
             nearest_centroid(vector[None, :], self._centroids, self._center)[0]
         )
-        position = self.ntotal
-        self._vectors = np.concatenate([self._vectors, vector[None, :]])
+        self._rows = rows
         self._assignments = np.concatenate(
             [self._assignments, np.array([cluster], dtype=np.int64)]
         )
@@ -271,7 +382,7 @@ class IVFIndex:
         reclaims the space.  Tombstoning an already-dead position is a
         no-op.
         """
-        if self._vectors is None:
+        if self._alive is None:
             raise RuntimeError("IVFIndex.tombstone called before add()")
         if not 0 <= position < self.ntotal:
             raise ValueError(
@@ -285,9 +396,9 @@ class IVFIndex:
         """Copy-on-write clone for off-to-the-side compaction.
 
         The clone shares the (immutable-by-convention) payload arrays —
-        centroids, vectors, assignments, list members — and copies only
+        centroids, row view, assignments, list members — and copies only
         the outer list container and the liveness mask, so cloning is
-        O(n_clusters + ntotal/8) regardless of payload size.  Mutating
+        O(n_clusters + ntotal) bytes regardless of the row width.  Mutating
         primitives (:meth:`append_to_list`, :meth:`tombstone`) rebind or
         write only clone-owned arrays, leaving the original serving
         queries untouched — the serving layer's old-or-new (never torn)
@@ -300,7 +411,10 @@ class IVFIndex:
         )
         other._centroids = self._centroids
         other._center = self._center
-        other._vectors = self._vectors
+        other._rows = self._rows
+        other._store = self._store
+        other._rows_digest = self._rows_digest
+        other._origin = self._origin
         other._assignments = self._assignments
         other._lists = list(self._lists)
         other._alive = None if self._alive is None else self._alive.copy()
@@ -351,8 +465,7 @@ class IVFIndex:
         the scanned block shape.  Either way, live members are gathered
         only for the lists some query probes.
         """
-        if self._vectors is None:
-            raise RuntimeError("IVFIndex.search called before add()")
+        self._require_rows("search")
         queries = check_embedding_matrix(queries, "queries")
         if queries.shape[1] != self.dim:
             raise ValueError(
@@ -434,7 +547,7 @@ class IVFIndex:
                 rows.append((np.empty(0, dtype=np.int64), np.empty(0)))
                 continue
             ids = np.concatenate(chunks)
-            scores = rowwise_scores(self.metric, queries[query], self._vectors[ids])
+            scores = rowwise_scores(self.metric, queries[query], self._gather(ids))
             order = np.lexsort((ids, -scores))[:k]
             rows.append((ids[order], scores[order]))
         return CandidateSet.from_rows(rows, n_targets=self.ntotal)
@@ -474,7 +587,7 @@ class IVFIndex:
         members = np.concatenate(
             [live_lists[cluster] for cluster in sorted(live_lists)]
         )
-        kernel = prepare_metric(self.metric, queries, self._vectors[members])
+        kernel = prepare_metric(self.metric, queries, self._gather(members))
 
         nearest_slot = np.take_along_axis(distances, probe, axis=1).argmin(axis=1)
         nearest = probe[np.arange(n_queries), nearest_slot]
@@ -576,96 +689,215 @@ class IVFIndex:
             ),
         }
 
+    # -- store binding and compaction ----------------------------------
+
+    def bind(self, store) -> "IVFIndex":
+        """Read the indexed rows from ``store`` from now on; returns self.
+
+        ``store`` is an :class:`~repro.storage.memmap.EmbeddingStore`
+        (anything with ``path``, ``dim``, ``n_rows`` and ``rows(slice)``).
+        Its first ``ntotal`` rows, hashed as float64, must equal the
+        digest the index file recorded (or, for an index built in
+        memory, the digest of the rows it holds); a mismatch raises
+        :class:`~repro.errors.DataIntegrityError` naming both files.
+        The index then scans a view of exactly those rows — a prefix
+        that later appends to the store, which land past it, never
+        change.
+        """
+        if self._alive is None:
+            raise RuntimeError("IVFIndex.bind called before add() or load()")
+        n = self.ntotal
+        if store.dim != self.dim:
+            raise ValueError(
+                f"store {store.path} holds {store.dim}-dim rows but index "
+                f"{self._origin} has dim {self.dim}"
+            )
+        if store.n_rows < n:
+            raise ValueError(
+                f"index {self._origin} holds {n} vectors but the store at "
+                f"{store.path} holds only {store.n_rows} rows"
+            )
+        rows = store.rows(slice(0, n))
+        expected = (
+            self._rows_digest if self._rows is None else rows_digest(self._rows)
+        )
+        actual = rows_digest(rows)
+        if actual != expected:
+            raise DataIntegrityError(
+                f"store {store.path} rows 0..{n} hash to "
+                f"{CHECKSUM_ALGORITHM}:{actual}, but index {self._origin} "
+                f"was built over rows hashing to {CHECKSUM_ALGORITHM}:"
+                f"{expected}; the index does not belong to this store — "
+                f"rebuild it from the store's rows"
+            )
+        self._rows, self._store = rows, store
+        return self
+
+    def recluster(self) -> "IVFIndex":
+        """A new index: the quantizer retrained over the live rows only.
+
+        Live rows, in position order, train the k-means quantizer and
+        fill the new lists, which hold only live positions.  Positions
+        keep their meaning — no row is renumbered or copied into the
+        index, and tombstoned positions stay dead (assignment ``-1``) —
+        so ties still break by ascending position and a full-probe
+        answer equals a cold build over the survivors.  ``self`` is
+        untouched (queries in flight keep using it).
+        """
+        self._require_rows("recluster")
+        live = np.flatnonzero(self._alive)
+        vectors = self._gather(live)
+        other = IVFIndex(
+            n_clusters=self.n_clusters,
+            metric=self.metric,
+            train_iterations=self.train_iterations,
+        )
+        other.train(vectors).add(vectors)
+        assignments = np.full(self.ntotal, -1, dtype=np.int64)
+        assignments[live] = other._assignments
+        other._assignments = assignments
+        other._lists = [live[members] for members in other._lists]
+        other._alive = self._alive.copy()
+        other._rows, other._store = self._rows, self._store
+        other._origin = self._origin
+        return other
+
     # -- persistence ---------------------------------------------------
 
     def save(self, path: str | Path) -> Path:
-        """Write the trained index (quantizer + vectors + lists) as JSON.
+        """Write the quantizer, lists and tombstones (no vectors), format v2.
 
-        The document lands through the atomic temp-file + rename
-        protocol and carries a blake2b ``checksum`` over its own content
-        (the canonical JSON of every key except ``checksum``), so a torn
-        write never leaves a half-index and silent corruption is caught
-        at :meth:`load`.
+        The file lands through the atomic temp-file + rename protocol
+        and ends in a blake2b checksum of every byte before it, so a
+        torn write never leaves a half-index and any corruption is
+        caught at :meth:`load`.  The header records the digest of the
+        indexed rows (:func:`rows_digest`), which :meth:`bind` checks.
         """
-        if self._vectors is None:
+        if self._alive is None:
             raise RuntimeError("IVFIndex.save called before train()/add()")
-        document = {
+        digest = self._rows_digest if self._rows is None else rows_digest(self._rows)
+        tombstones = np.flatnonzero(~self._alive)
+        header = {
             "format": IVF_FORMAT,
             "version": IVF_VERSION,
             "metric": self.metric,
             "n_clusters": self.n_clusters,
             "train_iterations": self.train_iterations,
-            "center": self._center.tolist(),
-            "centroids": self._centroids.tolist(),
-            "vectors": self._vectors.tolist(),
-            "assignments": self._assignments.tolist(),
+            "dim": self.dim,
+            "ntotal": self.ntotal,
+            "tombstones": len(tombstones),
+            "rows": {
+                "algorithm": CHECKSUM_ALGORITHM,
+                "dtype": "float64",
+                "digest": digest,
+            },
         }
-        # Only written when tombstones exist, so documents from indexes
-        # that never saw a delete stay byte-identical to older writers.
-        if self.n_tombstoned:
-            document["tombstones"] = np.flatnonzero(~self._alive).tolist()
-        document["checksum"] = _document_checksum(document)
+        encoded = json.dumps(header, sort_keys=True).encode("ascii")
+        # Pad so every array that follows starts 8-byte aligned.
+        encoded = encoded.ljust(-(-len(encoded) // 8) * 8)
+        body = b"".join([
+            _PREFIX.pack(IVF_MAGIC, len(encoded)),
+            encoded,
+            np.ascontiguousarray(self._center, dtype="<f8").tobytes(),
+            np.ascontiguousarray(self._centroids, dtype="<f8").tobytes(),
+            np.ascontiguousarray(self._assignments, dtype="<i8").tobytes(),
+            np.ascontiguousarray(tombstones, dtype="<i8").tobytes(),
+        ])
         path = Path(path)
-        atomic_write(path, json.dumps(document) + "\n")
+        atomic_write(path, body + payload_checksum(body).encode("ascii"))
         return path
 
     @classmethod
     def load(cls, path: str | Path) -> "IVFIndex":
-        """Reload an index written by :meth:`save`.
+        """Reload an index written by :meth:`save` (unbound: no rows yet).
 
-        Validation order: JSON well-formedness, format tag, version,
-        then content checksum — version mismatches are reported as such
-        even though an edited version field also invalidates the digest.
-        Documents without a ``checksum`` key (pre-durability writers)
-        load unverified.
+        Validation order: magic, then the checksum over the raw bytes,
+        then format and version, then the array lengths.  Every
+        truncation and bit flip fails the checksum and raises
+        :class:`~repro.errors.DataIntegrityError`; a version-1 JSON
+        document raises :class:`LegacyIndexError`, naming the migrate
+        command.  Call :meth:`bind` before searching.
         """
         path = Path(path)
+        data = path.read_bytes()
+        if data.startswith(b"{"):
+            if f'"format": "{IVF_FORMAT}"'.encode("ascii") in data[:64]:
+                raise LegacyIndexError(
+                    f"{path} is a version-1 (JSON) {IVF_FORMAT} document; this "
+                    f"build reads version {IVF_VERSION} only — convert it once "
+                    f"with `repro index migrate {path} NEW`"
+                )
+            raise DataIntegrityError(f"{path} is not a {IVF_FORMAT} index file")
+        if len(data) < _PREFIX.size + _TRAILER_BYTES or not data.startswith(
+            IVF_MAGIC
+        ):
+            raise DataIntegrityError(
+                f"{path}: IVF index file is truncated or is not a "
+                f"{IVF_FORMAT} file ({len(data)} bytes, bad magic or length)"
+            )
+        body = memoryview(data)[:-_TRAILER_BYTES]
+        verify_checksum(
+            path,
+            data[-_TRAILER_BYTES:].decode("ascii", "replace"),
+            body,
+            artifact="IVF index",
+        )
+        _, header_bytes = _PREFIX.unpack_from(data)
+        offset = _PREFIX.size + header_bytes
         try:
-            document = json.loads(path.read_text(encoding="utf-8"))
+            header = json.loads(data[_PREFIX.size : offset].decode("ascii"))
         except (UnicodeDecodeError, json.JSONDecodeError) as error:
             raise DataIntegrityError(
-                f"{path}: IVF index document is not valid JSON ({error}); "
-                f"the file is truncated or corrupt"
+                f"{path}: IVF index header does not parse ({error})"
             ) from error
-        if not isinstance(document, dict) or document.get("format") != IVF_FORMAT:
+        if not isinstance(header, dict) or header.get("format") != IVF_FORMAT:
+            raise DataIntegrityError(f"{path} is not a {IVF_FORMAT} index file")
+        if header.get("version") != IVF_VERSION:
             raise ValueError(
-                f"{path} is not a {IVF_FORMAT} document "
-                f"(format={document.get('format') if isinstance(document, dict) else None!r})"
-            )
-        if document.get("version") != IVF_VERSION:
-            raise ValueError(
-                f"unsupported {IVF_FORMAT} version {document.get('version')!r}; "
+                f"unsupported {IVF_FORMAT} version {header.get('version')!r}; "
                 f"this build reads version {IVF_VERSION}"
             )
-        recorded = document.get("checksum")
-        if recorded is not None:
-            body = {key: value for key, value in document.items() if key != "checksum"}
-            verify_checksum(
-                path,
-                recorded,
-                json.dumps(body, sort_keys=True).encode("utf-8"),
-                artifact="IVF index",
+        try:
+            dim, n_clusters = int(header["dim"]), int(header["n_clusters"])
+            counts = (
+                ("<f8", dim),
+                ("<f8", n_clusters * dim),
+                ("<i8", int(header["ntotal"])),
+                ("<i8", int(header["tombstones"])),
             )
-        index = cls(
-            n_clusters=int(document["n_clusters"]),
-            metric=document["metric"],
-            train_iterations=int(document["train_iterations"]),
-        )
-        index._centroids = np.asarray(document["centroids"], dtype=np.float64)
-        index._center = np.asarray(document["center"], dtype=np.float64)
-        index._vectors = np.asarray(document["vectors"], dtype=np.float64)
-        index._assignments = np.asarray(document["assignments"], dtype=np.int64)
-        index._lists = _inverted_lists(index._assignments, index.n_clusters)
-        index._alive = np.ones(index.ntotal, dtype=bool)
-        tombstones = document.get("tombstones")
-        if tombstones:
-            positions = np.asarray(tombstones, dtype=np.int64)
-            if positions.min() < 0 or positions.max() >= index.ntotal:
-                raise DataIntegrityError(
-                    f"{path}: tombstone positions out of range for "
-                    f"{index.ntotal} indexed vectors"
-                )
-            index._alive[positions] = False
+            arrays = []
+            for dtype, count in counts:
+                arrays.append(np.frombuffer(body, dtype, count, offset))
+                offset += arrays[-1].nbytes
+            if offset != len(body):
+                raise ValueError(f"{len(body) - offset} trailing bytes")
+            center, centroids, assignments, tombstones = arrays
+            index = cls(
+                n_clusters=n_clusters,
+                metric=header["metric"],
+                train_iterations=int(header["train_iterations"]),
+            )
+            digest = header["rows"]["digest"]
+        except (KeyError, TypeError, ValueError) as error:
+            raise DataIntegrityError(
+                f"{path}: IVF index arrays do not match the header ({error})"
+            ) from error
+        ntotal = len(assignments)
+        if ntotal and not -1 <= assignments.min() <= assignments.max() < n_clusters:
+            raise DataIntegrityError(f"{path}: IVF list assignments out of range")
+        if len(tombstones) and not 0 <= tombstones.min() <= tombstones.max() < ntotal:
+            raise DataIntegrityError(
+                f"{path}: tombstone positions out of range for {ntotal} "
+                f"indexed vectors"
+            )
+        index._center = center
+        index._centroids = centroids.reshape(n_clusters, dim)
+        index._assignments = assignments.astype(np.int64)
+        index._lists = _inverted_lists(index._assignments, n_clusters)
+        index._alive = np.ones(ntotal, dtype=bool)
+        index._alive[tombstones] = False
+        index._rows_digest = digest
+        index._origin = str(path)
         return index
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -37,6 +37,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterator, Mapping
 
+from repro.errors import DataIntegrityError
 from repro.obs.provenance import provenance
 from repro.storage.durable import fsync_dir, fsync_file
 from repro.utils.memory import peak_rss_bytes
@@ -411,6 +412,14 @@ class RunLedger:
         ``path:lineno`` — no tolerance mode hides it.  A final segment
         without its trailing newline that still parses and validates is
         accepted as complete.
+
+        A newline-terminated final line that does not parse raises a
+        typed :class:`~repro.errors.DataIntegrityError` with
+        ``path:lineno``: :meth:`append` writes a record and its newline
+        in one write, so a torn append never ends in a newline.
+        Tolerating such a line as a torn tail would silently drop a
+        durable record — a flipped newline merges two records into one
+        unparseable final line.
         """
         if not self.path.exists():
             return LedgerScan([], None)
@@ -419,6 +428,8 @@ class RunLedger:
         # Candidate torn tail: (lineno, offset, nbytes, reason).  Promoted
         # to mid-file corruption if any content line follows it.
         candidate: tuple[int, int, int, str] | None = None
+        # Whether the candidate ends in a newline yet does not parse.
+        unparseable_line = False
         # Padding-only lines are skipped mid-file (legacy blank-line
         # tolerance) but a padded *tail* is reported as torn.
         padding: tuple[int, int, int] | None = None
@@ -447,12 +458,21 @@ class RunLedger:
             padding = None
             try:
                 records.append(validate_record(json.loads(line.decode("utf-8"))))
-            except (UnicodeDecodeError, json.JSONDecodeError, ValueError) as err:
+            except (UnicodeDecodeError, json.JSONDecodeError) as err:
+                candidate = (lineno, pos, nxt - pos, str(err))
+                unparseable_line = end != -1
+            except ValueError as err:
                 candidate = (lineno, pos, nxt - pos, str(err))
             pos = nxt
         torn: TornTail | None = None
         if candidate is not None:
             bad_lineno, offset, nbytes, reason = candidate
+            if unparseable_line:
+                raise DataIntegrityError(
+                    f"{self.path}:{bad_lineno}: complete final line does not "
+                    f"parse ({reason}); appends write a record and its newline "
+                    f"together, so this is corruption, not a torn tail"
+                )
             torn = TornTail(bad_lineno, offset, nbytes, f"torn final line: {reason}")
         elif padding is not None:
             pad_lineno, offset, nbytes = padding

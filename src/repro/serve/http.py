@@ -302,7 +302,20 @@ class AlignmentServer(ThreadingHTTPServer):
         if vector is not None:
             if not isinstance(vector, list):
                 raise ServeError(400, "'vector' must be a JSON list of numbers")
-            return np.asarray(vector, dtype=np.float64)
+            try:
+                array = np.asarray(vector, dtype=np.float64)
+            except (TypeError, ValueError) as error:
+                raise ServeError(
+                    400, "'vector' must be a JSON list of numbers"
+                ) from error
+            dim = self.state.snapshot.index.dim
+            if array.shape != (dim,):
+                raise ServeError(
+                    400, f"'vector' must hold {dim} numbers, got shape {array.shape}"
+                )
+            if not np.isfinite(array).all():
+                raise ServeError(400, "'vector' must hold only finite numbers")
+            return array
         entity_id = body.get("entity_id")
         if entity_id is None:
             raise ServeError(400, "query body must carry 'vector' or 'entity_id'")

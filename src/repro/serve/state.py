@@ -16,9 +16,12 @@ compactions.  Three ingredients make that bitwise-provable:
    ascending index position.  Top-k of a union of per-part top-ks under
    a total order equals the global top-k, so merging the index part and
    the delta part loses nothing.
-3. **Order-preserving compaction.**  Re-clustering renumbers positions
-   but preserves their relative order, so the tie order (and therefore
-   every result) is unchanged.
+3. **Positions are store rows.**  The index is bound to the store
+   (:meth:`~repro.index.ivf.IVFIndex.bind`) and reads its rows from it;
+   a position is a store row for the daemon's whole lifetime.
+   Re-clustering retrains the quantizer and rebuilds the lists over the
+   live rows without renumbering any position, so the tie order (and
+   therefore every result) is unchanged.
 
 Concurrency: all reads go through one immutable :class:`_Snapshot`
 grabbed once per query (a single attribute load — atomic in CPython);
@@ -26,7 +29,9 @@ writers build a *new* snapshot off to the side (the index is cloned
 copy-on-write) and publish it with one reference assignment under a
 writer lock.  A query that started before a write completes sees the old
 snapshot in full; one that starts after sees the new one in full; no
-query ever sees a torn blend.
+query ever sees a torn blend.  Each snapshot's index reads a store
+prefix pinned at its own row count; an insert appends its row past every
+pinned prefix before publishing the snapshot that includes it.
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ from repro.storage.memmap import EmbeddingStore
 class _Snapshot:
     """One immutable, internally-consistent view of the serving state.
 
-    ``index`` holds base *and* delta vectors (inserts are appended to
+    ``index`` covers base *and* delta rows (inserts are appended to
     their nearest inverted list immediately); ``delta_mask`` marks the
     positions still in the delta layer — the index scan excludes them
     and the brute-force delta scan covers them, so fresh inserts are
@@ -58,7 +63,7 @@ class _Snapshot:
     """
 
     index: IVFIndex
-    #: position -> entity id (grows with appends; rebuilt at compaction).
+    #: position (== store row) -> entity id (grows with appends).
     pos_ids: np.ndarray
     #: entity id -> live position (dead ids absent).
     id_pos: dict[int, int]
@@ -99,8 +104,9 @@ class ServingState:
     """The mutable façade over immutable snapshots.
 
     ``insert`` appends the vector to the store (durable, within its
-    preallocated capacity) and to the index's nearest inverted list,
-    and marks the position as delta; ``delete`` tombstones; ``query``
+    preallocated capacity), adds that row to the index's nearest
+    inverted list, and marks the position as delta; ``delete``
+    tombstones; ``query``
     merges the IVF scan (delta excluded) with a brute-force scan of the
     delta layer.  Compaction triggers lazily after inserts: when any
     inverted list's live size skews past ``skew_factor`` times the mean,
@@ -122,10 +128,22 @@ class ServingState:
                 f"index holds {index.ntotal} vectors but the store holds "
                 f"{store.n_rows} rows; rebuild the index from this store"
             )
+        self._open(store, index, nprobe, max_delta, skew_factor)
+
+    def _open(
+        self,
+        store: EmbeddingStore,
+        index: IVFIndex,
+        nprobe: int | None = None,
+        max_delta: int = 64,
+        skew_factor: float = 3.0,
+    ) -> None:
+        """Bind ``index`` to the store's first ``index.ntotal`` rows."""
         if max_delta < 1:
             raise ValueError(f"max_delta must be >= 1, got {max_delta}")
         if skew_factor <= 1.0:
             raise ValueError(f"skew_factor must be > 1, got {skew_factor}")
+        index.bind(store)
         self.store = store
         self.nprobe = index.n_clusters if nprobe is None else int(nprobe)
         self.max_delta = max_delta
@@ -154,30 +172,25 @@ class ServingState:
     ) -> "ServingState":
         """Open the artifacts a past run persisted; zero rebuild.
 
-        Store rows beyond the index's row count — appends persisted by
-        a previous serving run whose index was never re-saved — are
-        recovered into the delta layer (entity id = store row), so a
-        kill/restart loses no durable insert.
+        The index file holds no vectors: it is bound to the store, and
+        the store's first ``ntotal`` rows must match the digest the file
+        recorded (:meth:`~repro.index.ivf.IVFIndex.bind` raises
+        :class:`~repro.errors.DataIntegrityError` naming both paths
+        otherwise).  Store rows beyond the index's row count — appends
+        persisted by a previous serving run whose index was never
+        re-saved — are replayed into the delta layer (entity id = store
+        row) with the same compaction decisions the live inserts made,
+        so a kill/restart loses no durable insert.
         """
         store = EmbeddingStore.open(store_path, mode="r+")
         index = IVFIndex.load(index_path)
+        state = cls.__new__(cls)
+        state._open(store, index, **kwargs)
         extra = store.n_rows - index.ntotal
-        if extra < 0:
-            raise ValueError(
-                f"index at {index_path} holds {index.ntotal} vectors but the "
-                f"store at {store_path} holds only {store.n_rows} rows"
-            )
-        if extra == 0:
-            return cls(store, index, **kwargs)
-        # Durable tail: rows a previous run appended after the index was
-        # saved.  Replay them through the normal insert path behind a
-        # proxy whose append is a no-op (the rows are already on disk).
-        tail = np.array(store.as_array()[index.ntotal :], dtype=np.float64)
-        state = cls(_TailTrimmedStore(store, index.ntotal), index, **kwargs)
-        for vector in tail:
-            state.insert(vector)
-        state.store = store
-        obs_events.emit("serve.recovered", rows=extra)
+        if extra:
+            for row in range(index.ntotal, store.n_rows):
+                state._insert(store[row], None, append=False)
+            obs_events.emit("serve.recovered", rows=extra)
         return state
 
     # -- reads ---------------------------------------------------------
@@ -247,7 +260,7 @@ class ServingState:
         position = snap.id_pos.get(int(entity_id))
         if position is None:
             return None
-        return np.array(snap.index.reconstruct(np.array([position]))[0])
+        return snap.index.reconstruct(np.array([position]))[0]
 
     def live_entity_ids(self) -> np.ndarray:
         """All live entity ids, ascending."""
@@ -267,12 +280,24 @@ class ServingState:
         live id replaces that entity (the old position is tombstoned).
         """
         vector = np.asarray(vector, dtype=np.float64).reshape(-1)
+        return self._insert(vector, entity_id, append=True)
+
+    def _insert(
+        self, vector: np.ndarray, entity_id: int | None, append: bool
+    ) -> int:
+        """Publish the store's next row; ``append`` writes it there first.
+
+        Restart replay passes ``append=False``: the row is already
+        durable, and it goes through the same snapshot and compaction
+        steps a live insert took.
+        """
         with self._write_lock:
             snap = self._snapshot
             if entity_id is None:
                 entity_id = self._next_id
             entity_id = int(entity_id)
-            self.store.append_row(vector.astype(self.store.dtype, copy=False))
+            if append:
+                self.store.append_row(vector.astype(self.store.dtype, copy=False))
             index = snap.index.clone()
             replaced = snap.id_pos.get(entity_id)
             if replaced is not None:
@@ -344,8 +369,8 @@ class ServingState:
         Skew — some inverted list grew past ``skew_factor`` x the mean
         live list size — triggers a full re-cluster; a merely deep delta
         migrates into the (already-assigned) lists without retraining.
-        Both preserve relative position order, so results are unchanged
-        at full ``nprobe``.
+        Neither renumbers a position, so results are unchanged at full
+        ``nprobe``.
         """
         sizes = snap.index.live_list_sizes()
         populated = sizes[sizes > 0]
@@ -380,28 +405,23 @@ class ServingState:
     def _recluster(self, snap: _Snapshot) -> _Snapshot:
         """Re-cluster compaction: retrain the quantizer over survivors.
 
-        Survivors keep their relative position order, so the total tie
+        :meth:`~repro.index.ivf.IVFIndex.recluster` rebuilds the lists
+        over the live rows without renumbering them, so the total tie
         order — and therefore every query result at full ``nprobe`` —
-        is unchanged.  Runs off to the side on a fresh index; queries
-        in flight keep the old snapshot.
+        is unchanged, and the id maps carry over as they are.  Runs off
+        to the side on a fresh index; queries in flight keep the old
+        snapshot.
         """
         old = snap.index
-        alive_positions = np.flatnonzero(old.alive_mask)
-        if len(alive_positions) == 0:
+        survivors = old.n_alive
+        if survivors == 0:
             return snap
-        vectors = old.reconstruct(alive_positions)
-        index = IVFIndex(
-            n_clusters=max(old.n_clusters, 1),
-            metric=old.metric,
-            train_iterations=old.train_iterations,
-        )
-        with obs_trace.span("serve.recluster", n=len(alive_positions)):
-            index.train(vectors).add(vectors)
-        pos_ids = snap.pos_ids[alive_positions]
+        with obs_trace.span("serve.recluster", n=survivors):
+            index = old.recluster()
         new = _Snapshot(
             index=index,
-            pos_ids=pos_ids,
-            id_pos={int(eid): pos for pos, eid in enumerate(pos_ids)},
+            pos_ids=snap.pos_ids,
+            id_pos=snap.id_pos,
             delta_positions=np.empty(0, dtype=np.int64),
             version=snap.version + 1,
             compactions=snap.compactions + 1,
@@ -409,8 +429,8 @@ class ServingState:
         obs_events.emit(
             "serve.compact",
             kind="recluster",
-            survivors=len(alive_positions),
-            dropped=old.ntotal - len(alive_positions),
+            survivors=survivors,
+            dropped=old.n_tombstoned,
         )
         obs_metrics.get_metrics().inc("serve.compactions.recluster")
         return new
@@ -434,34 +454,3 @@ class ServingState:
         )
         return report
 
-
-class _TailTrimmedStore:
-    """Open-time proxy hiding a store's recovered tail rows from __init__.
-
-    :meth:`ServingState.load` validates the index against the *base* row
-    count, then replays the durable tail through the normal insert path
-    (which appends to the real store — already holding those rows — via
-    this proxy's no-op append).
-    """
-
-    def __init__(self, store: EmbeddingStore, base_rows: int) -> None:
-        self._store = store
-        self._base_rows = base_rows
-        self._seen = 0
-
-    @property
-    def n_rows(self) -> int:
-        return self._base_rows
-
-    @property
-    def dtype(self):
-        return self._store.dtype
-
-    def append_row(self, vector: np.ndarray) -> int:
-        # The row is already durable in the real store; just account it.
-        row = self._base_rows + self._seen
-        self._seen += 1
-        return row
-
-    def __getattr__(self, name):
-        return getattr(self._store, name)

@@ -1,7 +1,7 @@
 """Crash-safe persistence primitives: atomic renames and content checksums.
 
 Every durable artifact in the repo — the memmap embedding store, the IVF
-index document, the run ledger — used to be written in place: a crash
+index file, the run ledger — used to be written in place: a crash
 (or an injected torn write) mid-``write()`` left a half-file that later
 readers either mis-parsed or choked on with a raw decoding error.  This
 module centralises the two standard remedies:

@@ -110,3 +110,31 @@ class TestHungarianMatcher:
         via_scipy = Hungarian(backend="scipy").match(src, tgt)
         gold = {(i, i) for i in range(len(pairs))}
         assert len(native.as_set() & gold) == len(via_scipy.as_set() & gold)
+
+
+class TestLazyScipyImport:
+    def test_cli_and_daemon_imports_skip_scipy_optimize(self):
+        # scipy.optimize costs ~0.5 s to import; only the scipy backend
+        # needs it, so starting the CLI or the daemon must not load it.
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parents[2] / "src"
+        probe = (
+            "import sys\n"
+            "import repro.cli, repro.serve.http\n"
+            "print('scipy.optimize' in sys.modules)\n"
+        )
+        output = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True, text=True, check=True,
+            env={"PYTHONPATH": str(src), "PATH": ""},
+        ).stdout
+        assert output.strip() == "False"
+
+    def test_scipy_backend_still_solves(self, rng):
+        scores = rng.random((6, 6))
+        pairs, _ = solve_assignment_max(scores, backend="scipy")
+        rows, cols = scipy.optimize.linear_sum_assignment(scores, maximize=True)
+        np.testing.assert_array_equal(pairs, np.stack([rows, cols], axis=1))

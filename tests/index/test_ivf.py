@@ -8,6 +8,7 @@ import pytest
 from repro.index import IVF_FORMAT, IVF_VERSION, IVFIndex
 from repro.obs.metrics import get_metrics
 from repro.similarity.chunked import chunked_top_k
+from repro.storage import EmbeddingStore
 
 
 def clustered_embeddings(rng, size=300, dim=32, noise=0.3):
@@ -119,7 +120,10 @@ class TestPersistence:
         source, target = clustered_embeddings(rng, size=80, dim=8)
         index = IVFIndex(n_clusters=4).train(target).add(target)
         path = index.save(tmp_path / "index.json")
-        reloaded = IVFIndex.load(path)
+        # The file holds no vectors: the reloaded index reads the rows
+        # from the store they were built from.
+        store = EmbeddingStore.write(tmp_path / "target.store", target)
+        reloaded = IVFIndex.load(path).bind(store)
         original = index.search(source, k=5, nprobe=2)
         restored = reloaded.search(source, k=5, nprobe=2)
         np.testing.assert_array_equal(original.indices, restored.indices)
@@ -137,12 +141,13 @@ class TestPersistence:
         with pytest.raises(ValueError, match=IVF_FORMAT):
             IVFIndex.load(path)
 
-    def test_load_rejects_future_version(self, rng, tmp_path):
+    def test_load_rejects_future_version(self, rng, tmp_path, monkeypatch):
         index = IVFIndex(n_clusters=2)
         vectors = rng.normal(size=(10, 4))
-        path = index.train(vectors).add(vectors).save(tmp_path / "index.json")
-        document = json.loads(path.read_text(encoding="utf-8"))
-        document["version"] = IVF_VERSION + 1
-        path.write_text(json.dumps(document), encoding="utf-8")
+        index.train(vectors).add(vectors)
+        # A well-formed, correctly checksummed file from a newer writer.
+        monkeypatch.setattr("repro.index.ivf.IVF_VERSION", IVF_VERSION + 1)
+        path = index.save(tmp_path / "index.json")
+        monkeypatch.undo()
         with pytest.raises(ValueError, match="version"):
             IVFIndex.load(path)

@@ -154,11 +154,17 @@ class TestTombstonePersistence:
         np.testing.assert_array_equal(loaded.alive_mask, index.alive_mask)
 
     def test_clean_index_document_has_no_tombstone_key(self, built, tmp_path):
-        import json
-
+        # The binary file always records the tombstone count; a clean
+        # index records zero and stores no tombstone positions.
         index, _ = built
-        payload = json.loads(index.save(tmp_path / "ivf.json").read_text())
-        assert "tombstones" not in payload
+        path = index.save(tmp_path / "ivf.json")
+        loaded = IVFIndex.load(path)
+        assert loaded.n_tombstoned == 0
+        assert loaded.alive_mask.all()
+        cluttered = index.clone()
+        cluttered.tombstone(0)
+        grown = cluttered.save(tmp_path / "dead.ivf").stat().st_size
+        assert grown == path.stat().st_size + 8  # one int64 position
 
 
 class TestStatsDefensive:

@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+from repro.errors import DataIntegrityError
 from repro.obs.ledger import RunLedger, build_record, cell_key
 from repro.testing.faults import TornWriteInjector
 
@@ -212,6 +213,23 @@ class TestMidFileCorruption:
         ledger = self._corrupt_middle(tmp_path)
         with pytest.raises(ValueError, match=rf"{ledger.path}:2"):
             ledger.scan()
+
+    def test_flipped_newline_between_final_records_is_typed(self, tmp_path):
+        # Appends write a record and its newline together, so a complete
+        # final line that does not parse is corruption, not a torn tail:
+        # tolerating it would silently drop the durable first record.
+        ledger = _seeded_ledger(tmp_path, matchers=("DInf", "CSLS", "Hun."))
+        raw = bytearray(ledger.path.read_bytes())
+        second_newline = [i for i, byte in enumerate(raw) if byte == ord("\n")][1]
+        for replacement in (b" ", b"\x00", b"x"):
+            raw[second_newline : second_newline + 1] = replacement
+            ledger.path.write_bytes(bytes(raw))
+            for strict in (True, False):
+                with pytest.raises(DataIntegrityError, match=rf"{ledger.path}:2"):
+                    ledger.records(strict=strict)
+            report = ledger.fsck(repair=True)
+            assert report.error is not None and not report.repaired
+            assert ledger.path.read_bytes() == bytes(raw)
 
     def test_legacy_blank_separator_lines_still_tolerated(self, tmp_path):
         ledger = _seeded_ledger(tmp_path)

@@ -157,3 +157,92 @@ class TestKillAndRestart:
         payloads = [json.loads(line) for line in events]
         assert any(event["name"] == "serve.recovered" for event in payloads)
         assert not any(event["name"].startswith("index.train") for event in payloads)
+
+
+@pytest.fixture
+def float32_artifacts(served_artifacts, tmp_path):
+    """The fixture vectors in a float32 store, indexed from its own rows."""
+    import numpy as np
+
+    from repro.index import IVFIndex
+    from repro.storage import EmbeddingStore
+
+    from .conftest import CAPACITY, N_CLUSTERS, Artifacts
+
+    rows = served_artifacts.vectors.astype(np.float32)
+    store_path = tmp_path / "entities32.store"
+    store = EmbeddingStore.create(store_path, rows.shape, "float32", capacity=CAPACITY)
+    store[:] = rows
+    store.update_checksum()
+    store.close()
+    as_stored = rows.astype(np.float64)
+    index_path = tmp_path / "entities32.ivf"
+    IVFIndex(n_clusters=N_CLUSTERS).train(as_stored).add(as_stored).save(index_path)
+    return Artifacts(store=store_path, index=index_path, vectors=as_stored)
+
+
+class TestFloat32StoreKill:
+    """Scores come from the store's durable bytes, not from a float64 copy.
+
+    Inserted values are not representable in float32, so a daemon that
+    scored the float64 request vector would answer differently after a
+    restart that reads the rounded row back from the store.
+    """
+
+    INSERTS = [
+        [0.1, -0.7, 1.3, 0.3, -2.1, 0.9],
+        [1.1, 0.2, -0.3, 0.7, 0.6, -1.9],
+        [-0.4, 2.3, 0.1, -1.7, 0.8, 0.05],
+        [0.33, 0.33, -0.66, 1.01, -0.2, 0.7],
+        [2.2, -0.1, 0.4, -0.9, 1.3, 0.3],
+    ]
+
+    def probes(self, daemon, entity_ids):
+        bodies = [post(daemon, "/query", {"vector": QUERY_VECTOR, "k": 8})]
+        for entity_id in entity_ids:
+            bodies.append(post(daemon, "/query", {"entity_id": entity_id, "k": 4}))
+        for vector in self.INSERTS:
+            bodies.append(post(daemon, "/query", {"vector": vector, "k": 3}))
+        return bodies
+
+    def test_insert_sigkill_restart_is_bitwise_identical(
+        self, float32_artifacts, tmp_path
+    ):
+        first = Daemon(float32_artifacts, tmp_path, extra_args=("--max-delta", "3"))
+        entity_ids = []
+        for vector in self.INSERTS:
+            status, body = post(first, "/insert", {"vector": vector})
+            assert status == 200
+            entity_ids.append(json.loads(body)["entity_id"])
+        before = self.probes(first, entity_ids)
+        first.process.kill()  # SIGKILL: no shutdown path runs
+        first.process.communicate(timeout=30)
+
+        with Daemon(float32_artifacts, tmp_path, extra_args=("--max-delta", "3")) as second:
+            after = self.probes(second, entity_ids)
+        assert all(status == 200 for status, _ in before)
+        assert after == before
+
+
+class TestBootRefusesForeignIndex:
+    def test_store_index_content_mismatch_exits_nonzero(
+        self, served_artifacts, float32_artifacts
+    ):
+        # Same shape, different bytes: the float64 fixture index does not
+        # belong to the float32-rounded store.
+        import subprocess
+        import sys
+
+        from .conftest import REPO_SRC
+
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "serve",
+             "--store", str(float32_artifacts.store),
+             "--index", str(served_artifacts.index), "--port", "0"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": REPO_SRC},
+        )
+        assert result.returncode == 1
+        assert "cannot load serving state" in result.stderr
+        assert str(float32_artifacts.store) in result.stderr
+        assert str(served_artifacts.index) in result.stderr

@@ -120,7 +120,10 @@ class TestCompaction:
         assert state.snapshot.index.n_tombstoned == 5
         assert state.compact(recluster=True) is True
         assert state.snapshot.index.n_tombstoned == 0
-        assert state.snapshot.index.ntotal == 15
+        # Positions are store rows and are never renumbered: the dead
+        # rows leave every list but still count towards ntotal.
+        assert state.snapshot.index.n_alive == 15
+        assert state.snapshot.index.ntotal == 20
         assert state.compact() is False  # nothing left to do
 
     def test_compact_preserves_results(self, tmp_path):
@@ -157,6 +160,53 @@ class TestRecovery:
         for old, new in zip(before, after):
             np.testing.assert_array_equal(old.entity_ids, new.entity_ids)
             np.testing.assert_array_equal(old.scores, new.scores)
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_replay_repeats_compactions_and_scores_bitwise(self, tmp_path, dtype):
+        # Skewed inserts force re-clusters, a small max_delta forces
+        # migrations; the restart must replay the same decisions and,
+        # on a float32 store too, score the same stored bytes.
+        rng = np.random.default_rng(8)
+        base = rng.normal(size=(20, DIM)).astype(dtype)
+        store = EmbeddingStore.create(tmp_path / "emb.store", base.shape, dtype,
+                                      capacity=96)
+        store[:] = base
+        store.update_checksum()
+        store.close()
+        rows = base.astype(np.float64)
+        IVFIndex(n_clusters=3).train(rows).add(rows).save(tmp_path / "ivf")
+        knobs = dict(max_delta=4, skew_factor=2.0)
+        state = ServingState.load(tmp_path / "emb.store", tmp_path / "ivf", **knobs)
+        for _ in range(40):
+            state.insert(np.full(DIM, 50.0) + rng.normal(size=DIM) / 3)
+        assert state.snapshot.compactions >= 1
+        queries = rng.normal(size=(4, DIM)) * 20
+        before = state.query(queries, k=12)
+        uninterrupted = state.snapshot
+        state.store.close()  # the "kill": nothing is saved
+
+        recovered = ServingState.load(
+            tmp_path / "emb.store", tmp_path / "ivf", **knobs
+        )
+        replayed = recovered.snapshot
+        assert replayed.compactions == uninterrupted.compactions
+        assert replayed.version == uninterrupted.version
+        np.testing.assert_array_equal(
+            replayed.delta_positions, uninterrupted.delta_positions
+        )
+        np.testing.assert_array_equal(
+            replayed.index.live_list_sizes(), uninterrupted.index.live_list_sizes()
+        )
+        for nprobe in (1, recovered.nprobe):
+            for old, new in zip(
+                state.query(queries, k=12, nprobe=nprobe),
+                recovered.query(queries, k=12, nprobe=nprobe),
+            ):
+                np.testing.assert_array_equal(old.entity_ids, new.entity_ids)
+                np.testing.assert_array_equal(old.scores, new.scores)
+        assert [r.scores.tobytes() for r in before] == [
+            r.scores.tobytes() for r in recovered.query(queries, k=12)
+        ]
 
     def test_store_shorter_than_index_is_rejected(self, tmp_path):
         state, base = make_state(tmp_path)
